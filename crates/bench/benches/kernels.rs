@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the computational kernels under the router:
 //! rectilinear MSTs (step 1 and 4's dominant work), the lazy segment-tree
 //! density profile (the structure every coarse/switchable decision
-//! probes), union-find, the wire codec the ranks serialize with, and the
+//! probes) and its bulk build from a span list, union-find, the wire codec the ranks serialize with, and the
 //! columnar circuit store's per-net sweep paths.
 
 use pgr_bench::harness::{black_box, Harness};
@@ -25,11 +25,24 @@ fn bench_mst(h: &mut Harness) {
     }
     for &n in &[32usize, 256, 1024] {
         let pts = random_points(n, 43);
-        let rows: Vec<i64> = pts.iter().map(|p| p.y).collect();
         h.bench(&format!("mst_adjacency_limited/{n}"), |b| {
-            b.iter(|| mst_adjacency_limited(black_box(&pts), black_box(&rows)))
+            b.iter(|| mst_adjacency_limited(black_box(&pts)))
         });
     }
+    // Shaped like avq.large's 2100-pin clock net after feedthrough
+    // insertion: the pins scattered over 86 rows of 8365 columns, plus
+    // 49 feedthroughs on every row — about 6.3k nodes.
+    let mut rng = rng_from_seed(44);
+    let mut clock: Vec<Point> = (0..2100)
+        .map(|_| Point::new(rng.gen_range(0..8365), rng.gen_range(0..86)))
+        .collect();
+    for row in 0..86 {
+        clock.extend((0..49).map(|_| Point::new(rng.gen_range(0..8365), row)));
+    }
+    clock.sort_by_key(|p| (p.y, p.x));
+    h.bench("mst_adjacency_limited/clock-6k", |b| {
+        b.iter(|| mst_adjacency_limited(black_box(&clock)))
+    });
 }
 
 fn bench_profile(h: &mut Harness) {
@@ -71,6 +84,36 @@ fn bench_profile(h: &mut Harness) {
             })
         });
     }
+}
+
+fn bench_channel_state(h: &mut Harness) {
+    use pgr_circuit::NetId;
+    use pgr_router::route::state::Span;
+    use pgr_router::route::switchable::ChannelState;
+
+    // avq.large at full size: 287k connect spans over 87 channels of a
+    // chip 8365 columns wide.
+    let (channels, width) = (87u32, 8365i64);
+    let mut rng = rng_from_seed(0xC4A7);
+    let spans: Vec<Span> = (0..287_000u32)
+        .map(|i| {
+            let lo = rng.gen_range(0..width - 1);
+            Span {
+                net: NetId(i / 12),
+                channel: rng.gen_range(0..channels),
+                lo,
+                hi: (lo + rng.gen_range(1..120)).min(width - 1),
+                switch_row: None,
+            }
+        })
+        .collect();
+    h.bench("channel_state/from_spans/avq", |b| {
+        b.iter(|| {
+            let chans =
+                ChannelState::from_spans(0, channels as usize, width, black_box(&spans), false);
+            black_box(chans.channel_max(channels / 2))
+        })
+    });
 }
 
 fn bench_coarse_eval(h: &mut Harness) {
@@ -233,6 +276,7 @@ fn main() {
     let mut h = Harness::from_args();
     bench_mst(&mut h);
     bench_profile(&mut h);
+    bench_channel_state(&mut h);
     bench_coarse_eval(&mut h);
     bench_unionfind(&mut h);
     bench_wire(&mut h);

@@ -76,6 +76,7 @@
 use pgr_bench::aggregate::{aggregate, check_baseline, load_paths};
 use pgr_bench::harness::check_bench_json;
 use pgr_bench::tables::{self, Opts};
+use pgr_circuit::mcnc::{self, Mcnc};
 use pgr_circuit::scenarios::ScenarioFamily;
 use pgr_mpi::Phase;
 use pgr_router::Algorithm;
@@ -261,7 +262,14 @@ fn main() {
             }
             "--circuits" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                opts.filter = Some(v.split(',').map(str::to_string).collect());
+                let names: Vec<String> = v.split(',').map(str::to_string).collect();
+                if let Some(bad) = names.iter().find(|n| Mcnc::from_name(n).is_none()) {
+                    let registry = mcnc::ALL.map(Mcnc::name).join(", ");
+                    fail(&format!(
+                        "--circuits '{bad}' is not a benchmark circuit; valid: {registry}"
+                    ));
+                }
+                opts.filter = Some(names);
             }
             "--trace-out" => {
                 let v = args.next().unwrap_or_else(|| usage());

@@ -98,6 +98,21 @@ fn unknown_target_and_empty_invocations_exit_2() {
 }
 
 #[test]
+fn unknown_circuit_names_exit_2_and_list_the_valid_ones() {
+    for bad in ["bogus", "avq-small", "primary2,avq-large"] {
+        let out = repro(&["--circuits", bad, "wall-clock"]);
+        assert_eq!(out.status.code(), Some(2), "--circuits {bad}");
+        let err = stderr(&out);
+        assert!(err.contains("is not a benchmark circuit"), "{err}");
+        assert!(
+            err.contains("primary2, biomed, industry2, industry3, avq.small, avq.large"),
+            "{err}"
+        );
+        assert!(out.stdout.is_empty(), "no table for an unknown circuit");
+    }
+}
+
+#[test]
 fn trace_out_creates_missing_directories_at_parse_time() {
     let root = tmp_dir("trace-out");
     let nested = root.join("a/b/c");

@@ -6,7 +6,7 @@
 //! across channels.
 
 use crate::metrics::RoutingResult;
-use pgr_geom::DensityProfile;
+use crate::route::switchable::ChannelState;
 
 /// Congestion statistics of one channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,23 +57,19 @@ impl CongestionReport {
 pub fn analyze(result: &RoutingResult) -> CongestionReport {
     let width = result.chip_width.max(1);
     let nchan = result.channel_density.len();
-    let mut profiles: Vec<DensityProfile> = (0..nchan)
-        .map(|_| DensityProfile::new(width as usize))
-        .collect();
+    // A state needs one channel; an empty density vector reports none.
+    let chans = ChannelState::from_spans(0, nchan.max(1), width, &result.spans, false);
     let mut span_count = vec![0usize; nchan];
     for s in &result.spans {
-        profiles[s.channel as usize].add_span(s.lo, s.hi, 1);
         span_count[s.channel as usize] += 1;
     }
     // One counts buffer reused across channels — the per-channel
     // allocation showed up on the analysis path for wide chips.
     let mut counts = vec![0i64; width as usize];
-    let channels = profiles
-        .iter()
-        .enumerate()
-        .map(|(c, p)| {
-            p.counts_into(&mut counts);
-            let peak = p.max();
+    let channels = (0..nchan)
+        .map(|c| {
+            chans.counts_into(c as u32, &mut counts);
+            let peak = chans.channel_max(c as u32);
             let peak_column = counts.iter().position(|&d| d == peak).unwrap_or(0) as i64;
             let mean = counts.iter().sum::<i64>() as f64 / width as f64;
             ChannelCongestion {

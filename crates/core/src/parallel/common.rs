@@ -282,14 +282,11 @@ pub fn gather_result(
     let spans: Vec<Span> = all_spans.into_iter().flatten().collect();
 
     let rows = circuit.num_rows();
-    let mut chans = ChannelState::new(0, rows + 1, chip_width);
+    let chans = ChannelState::from_spans(0, rows + 1, chip_width, &spans, false);
     comm.charge_alloc(chans.modeled_bytes());
     comm.compute(
         cost::SPAN_APPLY * spans.len() as u64 + cost::SETUP_ITEM * circuit.num_nets() as u64,
     );
-    for s in &spans {
-        chans.add_span(s, 1);
-    }
     let result = RoutingResult {
         circuit: circuit.name.clone(),
         channel_density: chans.densities(),

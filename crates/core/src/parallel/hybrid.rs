@@ -227,12 +227,15 @@ impl Pipeline for HybridPipeline {
             // Step 5: row-local switchable optimization with boundary
             // sync.
             Phase::Switchable => {
-                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, self.chip_width);
+                let mut chans = ChannelState::from_spans(
+                    ctx.row0(),
+                    ctx.nrows() + 1,
+                    self.chip_width,
+                    &self.spans,
+                    false,
+                );
                 comm.charge_alloc(chans.modeled_bytes());
                 comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
-                    chans.add_span(s, 1);
-                }
                 sync_boundaries(&mut chans, &ctx.rows, comm);
                 let flips = optimize(&mut chans, &mut self.spans, cfg, &mut ctx.rng, comm);
                 comm.metric_add(names::SEGMENTS_FLIPPED, flips as u64);

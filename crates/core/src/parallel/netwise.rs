@@ -330,9 +330,10 @@ impl Pipeline for NetWisePipeline {
             // Step 4: connect owned nets against the replicated channel
             // state.
             Phase::Connect => {
-                let mut chans = ChannelState::new(0, all_rows + 1, self.chip_width);
-                comm.charge_alloc(chans.modeled_bytes());
-                chans.enable_logging();
+                comm.charge_alloc(ChannelState::modeled_bytes_for(
+                    all_rows + 1,
+                    self.chip_width,
+                ));
                 let mut arena = ConnectArena::default();
                 for w in &self.works {
                     // Mandatory work: stop on a latched breach (the
@@ -346,10 +347,13 @@ impl Pipeline for NetWisePipeline {
                     self.spans.extend(conn.spans);
                 }
                 comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
-                    chans.add_span(s, 1);
-                }
-                self.chans = Some(chans);
+                self.chans = Some(ChannelState::from_spans(
+                    0,
+                    all_rows + 1,
+                    self.chip_width,
+                    &self.spans,
+                    true,
+                ));
             }
 
             // Step 5: switchable optimization on owned nets, replicated

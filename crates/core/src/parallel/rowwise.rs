@@ -167,8 +167,10 @@ impl Pipeline for RowWisePipeline {
 
             // Step 4: connect each sub-net independently.
             Phase::Connect => {
-                let mut chans = ChannelState::new(ctx.row0(), ctx.nrows() + 1, self.chip_width);
-                comm.charge_alloc(chans.modeled_bytes());
+                comm.charge_alloc(ChannelState::modeled_bytes_for(
+                    ctx.nrows() + 1,
+                    self.chip_width,
+                ));
                 let mut arena = ConnectArena::default();
                 for w in &self.works {
                     // Mandatory work: stop on a latched breach (the
@@ -181,10 +183,13 @@ impl Pipeline for RowWisePipeline {
                     self.spans.extend(conn.spans);
                 }
                 comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
-                    chans.add_span(s, 1);
-                }
-                self.chans = Some(chans);
+                self.chans = Some(ChannelState::from_spans(
+                    ctx.row0(),
+                    ctx.nrows() + 1,
+                    self.chip_width,
+                    &self.spans,
+                    false,
+                ));
             }
 
             // Boundary synchronization, then step 5 on the local rows.

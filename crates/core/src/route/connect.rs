@@ -29,14 +29,13 @@ pub struct Connection {
 }
 
 /// Reusable per-net scratch for [`connect_net_with`]: the sorted node
-/// copy and the point/row views handed to the MST. One arena serves
-/// every net a rank connects — the buffers grow to the largest net seen
-/// and stay allocated, instead of three fresh vectors per net.
+/// copy and the point view handed to the MST. One arena serves every
+/// net a rank connects — the buffers grow to the largest net seen and
+/// stay allocated, instead of fresh vectors per net.
 #[derive(Debug, Default)]
 pub struct ConnectArena {
     nodes: Vec<Node>,
     points: Vec<Point>,
-    rows: Vec<i64>,
 }
 
 /// Connect one work net. Nodes must already be at their post-insertion
@@ -63,9 +62,11 @@ pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectAren
     arena.nodes.sort_unstable_by_key(|nd| nd.sort_key());
     let nodes = &arena.nodes;
 
-    // Charge the candidate-edge work the bucketed Kruskal actually does:
-    // same-row pairs plus adjacent-row pairs. Nodes are sorted by row,
-    // so one run-length scan yields the per-row counts.
+    // Charge the modeled candidate-edge work of the complete restricted
+    // graph: same-row pairs plus adjacent-row pairs. The host MST prunes
+    // these to a sparse exact subset, but the cost model keeps the
+    // paper's complete-graph construction. Nodes are sorted by row, so
+    // one run-length scan yields the per-row counts.
     let mut cand: u64 = 0;
     let mut prev: Option<(u32, u64)> = None;
     let mut i = 0;
@@ -91,9 +92,7 @@ pub fn connect_net_with(work: &WorkNet, comm: &mut Comm, arena: &mut ConnectAren
     arena
         .points
         .extend(nodes.iter().map(|nd| Point::new(nd.x, nd.row as i64)));
-    arena.rows.clear();
-    arena.rows.extend(nodes.iter().map(|nd| nd.row as i64));
-    let mst = mst_adjacency_limited(&arena.points, &arena.rows);
+    let mst = mst_adjacency_limited(&arena.points);
 
     let mut spans = Vec::with_capacity(mst.edges.len());
     let mut wirelength = 0u64;

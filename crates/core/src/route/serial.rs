@@ -233,8 +233,7 @@ impl Pipeline for SerialPipeline {
             Phase::Connect => {
                 let plan = self.plan.as_ref().expect("feedthrough pass ran");
                 self.chip_width = circuit.width + plan.max_growth();
-                let mut chans = ChannelState::new(0, rows + 1, self.chip_width);
-                comm.charge_alloc(chans.modeled_bytes());
+                comm.charge_alloc(ChannelState::modeled_bytes_for(rows + 1, self.chip_width));
                 let mut arena = ConnectArena::default();
                 for w in &self.works {
                     // Mandatory work: stop on a latched breach (the
@@ -252,10 +251,13 @@ impl Pipeline for SerialPipeline {
                     self.spans.extend(conn.spans);
                 }
                 comm.compute(cost::SPAN_APPLY * self.spans.len() as u64);
-                for s in &self.spans {
-                    chans.add_span(s, 1);
-                }
-                self.chans = Some(chans);
+                self.chans = Some(ChannelState::from_spans(
+                    0,
+                    rows + 1,
+                    self.chip_width,
+                    &self.spans,
+                    false,
+                ));
             }
 
             // Step 5: switchable-segment optimization.

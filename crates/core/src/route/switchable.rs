@@ -46,6 +46,14 @@ impl Wire for SpanDelta {
     }
 }
 
+/// Position of `channel` among `nchannels` channels starting at `chan0`;
+/// panics when it lies outside them.
+fn channel_index(chan0: u32, nchannels: usize, channel: u32) -> usize {
+    let i = channel.checked_sub(chan0).expect("channel below range") as usize;
+    assert!(i < nchannels, "channel {channel} above range");
+    i
+}
+
 /// Column-resolution congestion over channels `chan0 ..= chan0 + n - 1`.
 pub struct ChannelState {
     chan0: u32,
@@ -55,16 +63,84 @@ pub struct ChannelState {
 }
 
 impl ChannelState {
-    pub fn new(chan0: u32, nchannels: usize, width: i64) -> Self {
+    /// The state after adding every span of `spans` once (`sign = 1`), in
+    /// one bulk build: spans are bucketed by channel, and each channel's
+    /// densities come from a difference array prefix-summed into
+    /// [`DensityProfile::from_counts`]. Observably identical to an empty
+    /// state followed by [`Self::add_span`] over `spans` in order — same
+    /// clamping, same panic on a channel out of range and, when `logged`,
+    /// the same `+1` delta per span in span order. `logged` starts sparse
+    /// delta logging (net-wise replicated-state sync). Scratch is
+    /// O(width + spans).
+    pub fn from_spans(
+        chan0: u32,
+        nchannels: usize,
+        width: i64,
+        spans: &[Span],
+        logged: bool,
+    ) -> Self {
         assert!(nchannels > 0 && width > 0);
+        let w = width as usize;
+        let idx = |channel| channel_index(chan0, nchannels, channel);
+        // Counting sort of the clamped spans by channel.
+        let mut start = vec![0usize; nchannels + 1];
+        for s in spans {
+            start[idx(s.channel) + 1] += 1;
+        }
+        for c in 0..nchannels {
+            start[c + 1] += start[c];
+        }
+        let mut fill = start.clone();
+        let mut bucketed = vec![(0u32, 0u32); spans.len()];
+        for s in spans {
+            let c = idx(s.channel);
+            if let Some((lo, hi)) = DensityProfile::clamp_span(w, s.lo, s.hi) {
+                bucketed[fill[c]] = (lo as u32, hi as u32);
+                fill[c] += 1;
+            }
+        }
+        let mut diff = vec![0i64; w + 1];
+        let mut counts = vec![0i64; w];
+        let profiles = (0..nchannels)
+            .map(|c| {
+                diff.fill(0);
+                for &(lo, hi) in &bucketed[start[c]..fill[c]] {
+                    diff[lo as usize] += 1;
+                    diff[hi as usize + 1] -= 1;
+                }
+                let mut run = 0;
+                for (count, d) in counts.iter_mut().zip(&diff) {
+                    run += d;
+                    *count = run;
+                }
+                DensityProfile::from_counts(&counts)
+            })
+            .collect();
         ChannelState {
             chan0,
             width,
-            profiles: (0..nchannels)
-                .map(|_| DensityProfile::new(width as usize))
-                .collect(),
-            log: None,
+            profiles,
+            log: logged.then(|| {
+                spans
+                    .iter()
+                    .map(|s| SpanDelta {
+                        chan: s.channel,
+                        lo: s.lo,
+                        hi: s.hi,
+                        sign: 1,
+                    })
+                    .collect()
+            }),
         }
+    }
+
+    /// Modeled memory footprint of a state over `nchannels` channels of
+    /// `width` columns — [`Self::modeled_bytes`] before it is built. The
+    /// connect phases charge it ahead of their net loop, whose budget
+    /// polls must see the state's bytes before the spans that build it
+    /// exist.
+    pub fn modeled_bytes_for(nchannels: usize, width: i64) -> u64 {
+        nchannels as u64 * width as u64 * 32
     }
 
     pub fn chan0(&self) -> u32 {
@@ -81,15 +157,11 @@ impl ChannelState {
 
     /// Modeled memory footprint (for the per-node memory gate).
     pub fn modeled_bytes(&self) -> u64 {
-        self.profiles.len() as u64 * (self.width as u64) * 32
+        Self::modeled_bytes_for(self.profiles.len(), self.width)
     }
 
     fn idx(&self, channel: u32) -> usize {
-        let i = channel
-            .checked_sub(self.chan0)
-            .expect("channel below range") as usize;
-        assert!(i < self.profiles.len(), "channel {channel} above range");
-        i
+        channel_index(self.chan0, self.profiles.len(), channel)
     }
 
     pub fn covers(&self, channel: u32) -> bool {
@@ -164,11 +236,6 @@ impl ChannelState {
         comm.compute(cost::MERGE_COL * counts.len() as u64);
         let i = self.idx(channel);
         self.profiles[i].merge_counts(counts);
-    }
-
-    /// Start sparse delta logging (net-wise replicated-state sync).
-    pub fn enable_logging(&mut self) {
-        self.log = Some(Vec::new());
     }
 
     /// Drain the delta log.
@@ -312,7 +379,7 @@ mod tests {
 
     #[test]
     fn add_remove_roundtrip() {
-        let mut ch = ChannelState::new(0, 3, 32);
+        let mut ch = ChannelState::from_spans(0, 3, 32, &[], false);
         let s = span(1, 4, 20, None);
         ch.add_span(&s, 1);
         assert_eq!(ch.channel_max(1), 1);
@@ -322,7 +389,7 @@ mod tests {
 
     #[test]
     fn flip_moves_span_out_of_congested_channel() {
-        let mut ch = ChannelState::new(0, 3, 32);
+        let mut ch = ChannelState::from_spans(0, 3, 32, &[], false);
         // Congest channel 1.
         for _ in 0..4 {
             ch.add_span(&span(1, 0, 31, None), 1);
@@ -338,7 +405,7 @@ mod tests {
 
     #[test]
     fn tie_keeps_current_channel() {
-        let mut ch = ChannelState::new(0, 3, 32);
+        let mut ch = ChannelState::from_spans(0, 3, 32, &[], false);
         let mut spans = vec![span(2, 5, 15, Some(1))];
         ch.add_span(&spans[0], 1);
         let flips = optimize_slice(&mut ch, &mut spans, &[0], &mut comm());
@@ -351,7 +418,7 @@ mod tests {
     fn optimize_balances_stacked_spans() {
         // 6 identical switchable spans initially stacked in channel 1;
         // the optimum splits them 3/3 across channels 1 and 2.
-        let mut ch = ChannelState::new(0, 3, 32);
+        let mut ch = ChannelState::from_spans(0, 3, 32, &[], false);
         let mut spans: Vec<Span> = (0..6).map(|_| span(1, 0, 31, Some(1))).collect();
         for s in &spans {
             ch.add_span(s, 1);
@@ -373,7 +440,7 @@ mod tests {
     fn optimize_is_deterministic_per_seed() {
         let cfg = RouterConfig::default();
         let build = || {
-            let mut ch = ChannelState::new(0, 4, 64);
+            let mut ch = ChannelState::from_spans(0, 4, 64, &[], false);
             let mut spans: Vec<Span> = (0..20)
                 .map(|i| {
                     span(
@@ -406,7 +473,7 @@ mod tests {
     fn background_merge_influences_decisions() {
         // A neighbor rank reports heavy load in channel 2 (the upper
         // option); the local span must stay in channel 1.
-        let mut ch = ChannelState::new(1, 2, 16); // channels 1, 2
+        let mut ch = ChannelState::from_spans(1, 2, 16, &[], false); // channels 1, 2
         let mut spans = vec![span(1, 0, 15, Some(1))];
         ch.add_span(&spans[0], 1);
         ch.add_span(&span(1, 0, 15, None), 1); // make lower look busy (2 vs 0)
@@ -417,17 +484,81 @@ mod tests {
         assert_eq!(spans[0].channel, 1);
     }
 
+    /// Every observable of `a` and `b` agrees: per-channel counts, peak,
+    /// hypothetical peaks over random (also reversed and out-of-range)
+    /// ranges, and the pending delta log.
+    fn assert_same_state(a: &ChannelState, b: &ChannelState, rng: &mut SmallRng) {
+        assert_eq!(a.densities(), b.densities());
+        let w = a.width();
+        for c in a.chan0()..a.chan0() + a.num_channels() as u32 {
+            assert_eq!(a.counts(c), b.counts(c), "channel {c}");
+            assert_eq!(a.channel_max(c), b.channel_max(c), "channel {c}");
+            for _ in 0..8 {
+                let lo = rng.gen_range(-w - 2..=2 * w + 2);
+                let hi = rng.gen_range(-w - 2..=2 * w + 2);
+                assert_eq!(a.max_if_added(c, lo, hi), b.max_if_added(c, lo, hi));
+            }
+        }
+        assert_eq!(a.log.as_deref(), b.log.as_deref(), "delta stream");
+    }
+
+    #[test]
+    fn from_spans_matches_incremental_build() {
+        let mut rng = rng_from_seed(0xB01C);
+        for &width in &[1i64, 3, 13, 100, 257, 1000] {
+            for case in 0..12 {
+                let chan0 = rng.gen_range(0..3u32);
+                let nchannels = rng.gen_range(1..5usize);
+                let spans: Vec<Span> = (0..rng.gen_range(0..200usize))
+                    .map(|_| {
+                        let chan = chan0 + rng.gen_range(0..nchannels as u32);
+                        let lo = rng.gen_range(-width - 2..=2 * width + 2);
+                        let hi = rng.gen_range(-width - 2..=2 * width + 2);
+                        span(chan, lo, hi, None)
+                    })
+                    .collect();
+                let logged = case % 2 == 0;
+                let mut bulk = ChannelState::from_spans(chan0, nchannels, width, &spans, logged);
+                let mut inc = ChannelState::from_spans(chan0, nchannels, width, &[], logged);
+                for s in &spans {
+                    inc.add_span(s, 1);
+                }
+                assert_same_state(&bulk, &inc, &mut rng);
+                // The bulk-built trees must keep agreeing under further
+                // incremental updates (lazy tags start at zero there).
+                for _ in 0..50 {
+                    let chan = chan0 + rng.gen_range(0..nchannels as u32);
+                    let s = span(
+                        chan,
+                        rng.gen_range(-2..width + 2),
+                        rng.gen_range(-2..width + 2),
+                        None,
+                    );
+                    let sign = if rng.gen_bool(0.5) { 1 } else { -1 };
+                    bulk.add_span(&s, sign);
+                    inc.add_span(&s, sign);
+                }
+                assert_same_state(&bulk, &inc, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel 5 above range")]
+    fn from_spans_rejects_channels_out_of_range_like_add_span() {
+        ChannelState::from_spans(1, 4, 16, &[span(5, 0, 3, None)], false);
+    }
+
     #[test]
     fn delta_log_replays_remotely() {
-        let mut a = ChannelState::new(0, 3, 32);
-        a.enable_logging();
+        let mut a = ChannelState::from_spans(0, 3, 32, &[], true);
         a.add_span(&span(1, 2, 9, None), 1);
         a.add_span(&span(2, 0, 31, None), 1);
         a.add_span(&span(1, 2, 9, None), -1);
         let deltas = a.take_deltas();
         assert_eq!(deltas.len(), 3);
 
-        let mut b = ChannelState::new(0, 3, 32);
+        let mut b = ChannelState::from_spans(0, 3, 32, &[], false);
         b.merge_external(&deltas, &mut comm());
         for c in 0..3 {
             assert_eq!(a.channel_max(c), b.channel_max(c), "channel {c}");
@@ -452,8 +583,7 @@ mod tests {
         // remove-score-reinsert sweep exactly: same flips, same densities,
         // and (with logging on) the same replicated delta stream.
         let build = || {
-            let mut ch = ChannelState::new(0, 4, 64);
-            ch.enable_logging();
+            let mut ch = ChannelState::from_spans(0, 4, 64, &[], true);
             let mut rng = rng_from_seed(0xD1CE);
             let spans: Vec<Span> = (0..40)
                 .map(|_| {

@@ -5,9 +5,15 @@
 //! between the incremental bookkeeping the routers maintain and the
 //! solution they report. The parallel drivers in particular merge spans
 //! produced on many ranks; these checks guard that assembly.
+//!
+//! The density recount shares no code with the router's channel state
+//! (the segment-tree [`pgr_geom::DensityProfile`] and the bulk
+//! [`ChannelState::from_spans`](crate::route::switchable::ChannelState::from_spans)
+//! build): spans are bucketed by channel, and each channel's peak is the
+//! prefix maximum of a plain difference array. A bug in the profile code
+//! therefore cannot hide from its own checker.
 
 use crate::metrics::RoutingResult;
-use crate::route::switchable::ChannelState;
 use pgr_circuit::Circuit;
 use pgr_mpi::Comm;
 use std::fmt;
@@ -143,15 +149,10 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
         return out; // recounting with broken spans would double-report
     }
 
-    // Recount densities from scratch.
-    let mut chans = ChannelState::new(0, channels, result.chip_width.max(1));
-    for s in &result.spans {
-        chans.add_span(s, 1);
-    }
     for (c, (&reported, recount)) in result
         .channel_density
         .iter()
-        .zip(chans.densities())
+        .zip(recount_densities(result, channels))
         .enumerate()
     {
         if reported != recount {
@@ -170,6 +171,43 @@ pub fn verify(circuit: &Circuit, result: &RoutingResult) -> Vec<Violation> {
         });
     }
     out
+}
+
+/// Peak density per channel, recounted from the spans alone. Every span
+/// has already passed the range checks, so `0 <= lo < hi < chip_width`
+/// and `channel < channels`.
+fn recount_densities(result: &RoutingResult, channels: usize) -> Vec<i64> {
+    let mut start = vec![0usize; channels + 1];
+    for s in &result.spans {
+        start[s.channel as usize + 1] += 1;
+    }
+    for c in 0..channels {
+        start[c + 1] += start[c];
+    }
+    let mut next = start.clone();
+    let mut by_channel = vec![(0usize, 0usize); result.spans.len()];
+    for s in &result.spans {
+        let slot = &mut next[s.channel as usize];
+        by_channel[*slot] = (s.lo as usize, s.hi as usize);
+        *slot += 1;
+    }
+    let mut diff = vec![0i64; result.chip_width.max(1) as usize + 1];
+    (0..channels)
+        .map(|c| {
+            diff.fill(0);
+            for &(lo, hi) in &by_channel[start[c]..start[c + 1]] {
+                diff[lo] += 1;
+                diff[hi + 1] -= 1;
+            }
+            let mut run = 0;
+            let mut peak = 0;
+            for d in &diff {
+                run += d;
+                peak = peak.max(run);
+            }
+            peak
+        })
+        .collect()
 }
 
 /// Panic with a readable report if `result` fails verification.
@@ -244,6 +282,32 @@ mod tests {
         let (c, r) = routed();
         assert!(verify(&c, &r).is_empty());
         assert_verified(&c, &r);
+    }
+
+    #[test]
+    fn recount_equals_channel_state_densities() {
+        use crate::parallel::{route_parallel, Algorithm};
+        use crate::route::switchable::ChannelState;
+        use crate::PartitionKind;
+        let mut results = vec![routed()];
+        let c = generate(&GeneratorConfig::small("verify-recount", 7));
+        for algo in Algorithm::ALL {
+            let out = route_parallel(
+                &c,
+                &RouterConfig::with_seed(5),
+                algo,
+                PartitionKind::PinWeight,
+                2,
+                MachineModel::ideal(),
+            );
+            results.push((c.clone(), out.result));
+        }
+        for (c, r) in &results {
+            let channels = c.num_rows() + 1;
+            let chans = ChannelState::from_spans(0, channels, r.chip_width, &r.spans, false);
+            assert_eq!(recount_densities(r, channels), chans.densities());
+            assert_eq!(recount_densities(r, channels), r.channel_density);
+        }
     }
 
     #[test]

@@ -10,9 +10,34 @@
 //! * [`mst_adjacency_limited`] — MST where edges are only allowed between
 //!   nodes on the same or vertically adjacent rows (step 4: final
 //!   connection of pins and feedthroughs; a wire may only live in the
-//!   channel between the rows it connects). Kruskal over the restricted
-//!   edge set. Feedthrough insertion guarantees the restricted graph is
-//!   connected; if it is not (a router bug), the function reports a forest.
+//!   channel between the rows it connects). Kruskal over a sparse
+//!   candidate subset of the restricted edges. Feedthrough insertion
+//!   guarantees the restricted graph is connected; if it is not (a router
+//!   bug), the function reports a forest.
+//!
+//! # Sparse candidates for the adjacency-limited MST
+//!
+//! Kruskal orders edges by the strict total order `(weight, a, b)`, so
+//! the minimum spanning forest is unique, and by the cycle property an
+//! edge is not in it whenever a path joins its ends through edges that
+//! all come earlier in the order. Nodes with equal `(row, x)` form a
+//! group whose representative is its lowest index. The candidates are
+//! (1) a zero-weight star from each representative to the rest of its
+//! group, (2) representative edges between consecutive x-groups of a
+//! row, and (3) from each representative on row `r`, edges to the row
+//! `r + 1` representatives at `lower_bound(x)` and its predecessor —
+//! about four per node, O(n log n) with the sort. Every other admissible
+//! edge `(u, v)` is beaten by such a path: within a group, through the
+//! representative's star; on one row, through the stars of `u` and `v`
+//! and the chain of consecutive-group edges between them, each shorter
+//! than `|dx|` unless the groups are adjacent, in which case the one
+//! chain edge has the same weight and endpoints no larger than `u` and
+//! `v`, so it sorts first; across rows, through `u`'s star, the
+//! candidate from `u`'s representative to the upper-row group nearest
+//! `u` on `v`'s side (weight at most the edge's, endpoints again no
+//! larger), and the upper row's chain to `v`'s group, whose edges are
+//! strictly lighter. So the forest over the candidates is exactly the
+//! forest over every same-row and adjacent-row pair.
 
 use crate::point::{manhattan, Point};
 use crate::unionfind::UnionFind;
@@ -90,12 +115,15 @@ pub struct LimitedMst {
 }
 
 /// Kruskal MST where an edge `(i, j)` is admissible only if
-/// `|rows[i] - rows[j]| <= 1`. `rows[i]` is the row index of `points[i]`.
+/// `|points[i].y - points[j].y| <= 1`: `y` is the node's row.
 ///
-/// Weights are rectilinear distances over `points`. Ties are broken by
-/// `(weight, a, b)` order, making the result deterministic.
-pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
-    assert_eq!(points.len(), rows.len());
+/// Weights are rectilinear distances over `points`. Kruskal runs over
+/// the sparse candidate set of the module docs, in the strict order
+/// `(weight, a, b)`; same-row edges are stored with `a < b` and
+/// adjacent-row edges with `a` on the lower row. The result is the
+/// unique minimum spanning forest of the full adjacency-limited graph
+/// under that order, so it is deterministic.
+pub fn mst_adjacency_limited(points: &[Point]) -> LimitedMst {
     let n = points.len();
     if n <= 1 {
         return LimitedMst {
@@ -103,38 +131,61 @@ pub fn mst_adjacency_limited(points: &[Point], rows: &[i64]) -> LimitedMst {
             spanning: true,
         };
     }
-    // Bucket node indices by row so candidate generation touches only
-    // same-row and adjacent-row pairs instead of all n² pairs.
-    let min_row = *rows.iter().min().expect("nonempty");
-    let max_row = *rows.iter().max().expect("nonempty");
-    let span = (max_row - min_row) as usize + 1;
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); span];
-    for (i, &r) in rows.iter().enumerate() {
-        buckets[(r - min_row) as usize].push(i as u32);
-    }
+    let edge = |a: u32, b: u32| MstEdge {
+        a,
+        b,
+        weight: manhattan(points[a as usize], points[b as usize]),
+    };
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by_key(|&i| (points[i as usize].y, points[i as usize].x, i));
 
-    let mut cand: Vec<MstEdge> = Vec::new();
-    for (bi, bucket) in buckets.iter().enumerate() {
-        // Same-row pairs.
-        for (k, &a) in bucket.iter().enumerate() {
-            for &b in &bucket[k + 1..] {
-                cand.push(MstEdge {
-                    a,
-                    b,
-                    weight: manhattan(points[a as usize], points[b as usize]),
-                });
-            }
+    // Group equal points; the sort puts each group's lowest index first,
+    // and that node represents the group. `reps` lists representatives
+    // in (row, x) order; `row_starts` marks where each row begins.
+    let mut cand: Vec<MstEdge> = Vec::with_capacity(4 * n);
+    let mut reps: Vec<u32> = Vec::new();
+    let mut row_starts: Vec<usize> = Vec::new();
+    let mut k = 0;
+    while k < n {
+        let rep = order[k];
+        let p = points[rep as usize];
+        if reps.last().is_none_or(|&r| points[r as usize].y != p.y) {
+            row_starts.push(reps.len());
         }
-        // Adjacent-row pairs.
-        if bi + 1 < span {
-            for &a in bucket {
-                for &b in &buckets[bi + 1] {
-                    cand.push(MstEdge {
-                        a,
-                        b,
-                        weight: manhattan(points[a as usize], points[b as usize]),
-                    });
-                }
+        reps.push(rep);
+        k += 1;
+        while k < n && points[order[k] as usize] == p {
+            cand.push(edge(rep, order[k]));
+            k += 1;
+        }
+    }
+    row_starts.push(reps.len());
+
+    let rows: Vec<&[u32]> = row_starts.windows(2).map(|w| &reps[w[0]..w[1]]).collect();
+    for (r, row) in rows.iter().enumerate() {
+        for pair in row.windows(2) {
+            cand.push(edge(pair[0].min(pair[1]), pair[0].max(pair[1])));
+        }
+        // Adjacent-row edges, from each lower-row representative to the
+        // upper row's representatives at `lower_bound(x)` and just left
+        // of it. Every row slice is non-empty.
+        let Some(up) = rows.get(r + 1) else {
+            continue;
+        };
+        if points[up[0] as usize].y != points[row[0] as usize].y + 1 {
+            continue;
+        }
+        let mut j = 0;
+        for &a in row.iter() {
+            let x = points[a as usize].x;
+            while j < up.len() && points[up[j] as usize].x < x {
+                j += 1;
+            }
+            if j < up.len() {
+                cand.push(edge(a, up[j]));
+            }
+            if j > 0 {
+                cand.push(edge(a, up[j - 1]));
             }
         }
     }
@@ -204,8 +255,7 @@ mod tests {
     #[test]
     fn limited_same_as_prim_when_rows_adjacent() {
         let p = pts(&[(0, 0), (4, 1), (8, 0)]);
-        let rows = vec![0, 1, 0];
-        let lm = mst_adjacency_limited(&p, &rows);
+        let lm = mst_adjacency_limited(&p);
         assert!(lm.spanning);
         assert_eq!(total_weight(&lm.edges), total_weight(&mst_prim(&p)));
     }
@@ -214,7 +264,7 @@ mod tests {
     fn limited_reports_disconnection() {
         // Rows 0 and 5 with nothing between: no admissible edge.
         let p = pts(&[(0, 0), (0, 5)]);
-        let lm = mst_adjacency_limited(&p, &[0, 5]);
+        let lm = mst_adjacency_limited(&p);
         assert!(!lm.spanning);
         assert!(lm.edges.is_empty());
     }
@@ -223,7 +273,7 @@ mod tests {
     fn limited_uses_intermediate_rows() {
         // A pin on rows 0 and 2 plus a "feedthrough" on row 1 makes it spanning.
         let p = pts(&[(0, 0), (0, 1), (0, 2)]);
-        let lm = mst_adjacency_limited(&p, &[0, 1, 2]);
+        let lm = mst_adjacency_limited(&p);
         assert!(lm.spanning);
         assert_eq!(lm.edges.len(), 2);
         assert_eq!(total_weight(&lm.edges), 2);
@@ -233,8 +283,7 @@ mod tests {
     fn limited_prefers_cheap_same_row_edges() {
         // Two clusters on the same row far apart, with an adjacent-row bridge.
         let p = pts(&[(0, 0), (1, 0), (100, 0), (101, 0), (50, 1)]);
-        let rows = vec![0, 0, 0, 0, 1];
-        let lm = mst_adjacency_limited(&p, &rows);
+        let lm = mst_adjacency_limited(&p);
         assert!(lm.spanning);
         assert_eq!(lm.edges.len(), 4);
         // The two unit edges must be chosen.

@@ -32,20 +32,29 @@ pub struct DensityProfile {
 impl DensityProfile {
     /// An all-zero profile over `width` columns. `width` must be > 0.
     pub fn new(width: usize) -> Self {
+        Self::with_leaves(width, |_| {})
+    }
+
+    /// A profile holding the given per-column densities, built bottom-up
+    /// in O(width) with every lazy tag zero. Observably identical to
+    /// adding the same columns to [`Self::new`] span by span.
+    pub fn from_counts(counts: &[i64]) -> Self {
+        Self::with_leaves(counts.len(), |leaves| leaves.copy_from_slice(counts))
+    }
+
+    /// Build the tree bottom-up from leaves written by `fill`.
+    fn with_leaves(width: usize, fill: impl FnOnce(&mut [i64])) -> Self {
         assert!(width > 0, "DensityProfile needs at least one column");
         let cap = width.next_power_of_two();
         let mut tree = vec![0i64; 2 * cap];
+        fill(&mut tree[cap..cap + width]);
         // Phantom columns (width..cap) must never win a max query — a
         // profile driven negative everywhere would otherwise report 0.
         // They are never targeted by updates, so a sentinel suffices.
         const PHANTOM: i64 = i64::MIN / 4;
-        if cap > width {
-            for leaf in tree[cap + width..2 * cap].iter_mut() {
-                *leaf = PHANTOM;
-            }
-            for node in (1..cap).rev() {
-                tree[node] = tree[2 * node].max(tree[2 * node + 1]);
-            }
+        tree[cap + width..].fill(PHANTOM);
+        for node in (1..cap).rev() {
+            tree[node] = tree[2 * node].max(tree[2 * node + 1]);
         }
         DensityProfile {
             width,
@@ -59,16 +68,22 @@ impl DensityProfile {
         self.width
     }
 
-    /// Clamp an inclusive span to the profile and normalize ordering.
-    fn clamp(&self, lo: i64, hi: i64) -> Option<(usize, usize)> {
+    /// Clamp an inclusive span to columns `0..width` and normalize its
+    /// ordering, as every span-taking method does: `lo > hi` means
+    /// `[hi, lo]`, and `None` means no column is covered.
+    pub fn clamp_span(width: usize, lo: i64, hi: i64) -> Option<(usize, usize)> {
         let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
         let lo = lo.max(0);
-        let hi = hi.min(self.width as i64 - 1);
+        let hi = hi.min(width as i64 - 1);
         if lo > hi {
             None
         } else {
             Some((lo as usize, hi as usize))
         }
+    }
+
+    fn clamp(&self, lo: i64, hi: i64) -> Option<(usize, usize)> {
+        Self::clamp_span(self.width, lo, hi)
     }
 
     /// Add `delta` over the inclusive column span `[lo, hi]`.
@@ -367,6 +382,30 @@ mod tests {
             "clamped-away spans must not touch the tree"
         );
         assert_eq!(p.lazy, before.lazy);
+    }
+
+    #[test]
+    fn from_counts_matches_incremental_build() {
+        use crate::rng::rng_from_seed;
+        for &width in &[1usize, 3, 13, 16, 100, 257] {
+            let mut rng = rng_from_seed(0xF00C + width as u64);
+            let counts: Vec<i64> = (0..width).map(|_| rng.gen_range(-3..=9i64)).collect();
+            let mut bulk = DensityProfile::from_counts(&counts);
+            let mut inc = DensityProfile::new(width);
+            inc.merge_counts(&counts);
+            let w = width as i64;
+            for step in 0..200 {
+                assert_eq!(bulk.counts(), inc.counts(), "width {width} step {step}");
+                assert_eq!(bulk.max(), inc.max(), "width {width} step {step}");
+                let lo = rng.gen_range(-w - 2..=2 * w + 2);
+                let hi = rng.gen_range(-w - 2..=2 * w + 2);
+                assert_eq!(bulk.max_in(lo, hi), inc.max_in(lo, hi));
+                assert_eq!(bulk.max_if_added(lo, hi), inc.max_if_added(lo, hi));
+                let delta = rng.gen_range(-2..=2i64);
+                bulk.add_span(hi, lo, delta);
+                inc.add_span(hi, lo, delta);
+            }
+        }
     }
 
     /// Property check against a naive dense model: random spans (including

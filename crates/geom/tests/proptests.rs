@@ -88,8 +88,7 @@ fn limited_mst_never_beats_unrestricted() {
         let pts: Vec<Point> = (0..n)
             .map(|_| Point::new(rng.gen_range(-200i64..200), rng.gen_range(0i64..6)))
             .collect();
-        let rows: Vec<i64> = pts.iter().map(|p| p.y).collect();
-        let limited = mst_adjacency_limited(&pts, &rows);
+        let limited = mst_adjacency_limited(&pts);
         if limited.spanning {
             let free: u64 = mst_prim(&pts).iter().map(|e| e.weight).sum();
             let restricted: u64 = limited.edges.iter().map(|e| e.weight).sum();
@@ -99,7 +98,7 @@ fn limited_mst_never_beats_unrestricted() {
             );
             // And every edge obeys the adjacency restriction.
             for e in &limited.edges {
-                assert!((rows[e.a as usize] - rows[e.b as usize]).abs() <= 1);
+                assert!((pts[e.a as usize].y - pts[e.b as usize].y).abs() <= 1);
             }
         }
     }
