@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the computational kernels under the router:
 //! rectilinear MSTs (step 1 and 4's dominant work), the lazy segment-tree
-//! density profile (the structure every coarse/switchable decision
-//! probes) and its bulk build from a span list, union-find, the wire codec the ranks serialize with, and the
+//! density profile (the structure every step-5 switchable decision
+//! probes) and its bulk build from a span list, the flat coarse grid's
+//! routing sweep and the bucketed feedthrough assignment on avq.large-shaped
+//! inputs, union-find, the wire codec the ranks serialize with, and the
 //! columnar circuit store's per-net sweep paths.
 
 use pgr_bench::harness::{black_box, Harness};
@@ -140,9 +142,81 @@ fn bench_coarse_eval(h: &mut Harness) {
             let mut comm = Comm::solo(MachineModel::ideal());
             let mut st = CoarseState::new(0, 9, 640, 8);
             let mut orients = st.init_random(&segs, &mut rng_from_seed(7), &mut comm);
-            b.iter(|| black_box(st.improve_slice(&segs, &mut orients, &order, &cfg, &mut comm)))
+            b.iter(|| black_box(st.improve_slice(&mut orients, &order, &cfg, &mut comm)))
         });
     }
+}
+
+/// Segments shaped like a `serial-avq.large` solve's step-2 input: 86
+/// rows of 293 grid columns (8 columns each), 57k segments of which 89 %
+/// cross rows, about 11 grid columns wide and crossing about 4.6 rows on
+/// average.
+fn avq_shaped_segments() -> Vec<pgr_router::route::state::Segment> {
+    use pgr_circuit::NetId;
+    use pgr_router::route::state::{ChannelPref, Node, Segment};
+    let mut rng = rng_from_seed(0xA7C);
+    (0..57_000u32)
+        .map(|i| {
+            let lo_row = rng.gen_range(0..86u32);
+            let rows = if rng.gen_bool(0.89) {
+                // Geometric row distance with mean 5.6 (4.6 crossed rows).
+                let mut d = 1;
+                while rng.gen_bool(1.0 - 1.0 / 5.6) {
+                    d += 1;
+                }
+                d
+            } else {
+                0
+            };
+            let hi_row = (lo_row + rows).min(85);
+            let x = rng.gen_range(0..2344i64);
+            let x2 = (x + rng.gen_range(-88..88i64)).clamp(0, 2343);
+            let pin = |x, row| Node::pin(i, x, row, ChannelPref::Either);
+            Segment::new(NetId(i / 3), pin(x, lo_row), pin(x2, hi_row))
+        })
+        .collect()
+}
+
+fn bench_coarse_route(h: &mut Harness) {
+    use pgr_mpi::{Comm, MachineModel};
+    use pgr_router::route::coarse::CoarseState;
+    use pgr_router::RouterConfig;
+
+    let segs = avq_shaped_segments();
+    let cfg = RouterConfig::default();
+    h.bench("coarse/route/avq-shaped", |b| {
+        b.iter(|| {
+            let mut comm = Comm::solo(MachineModel::ideal());
+            let mut st = CoarseState::new(0, 86, 2344, cfg.grid_w);
+            black_box(st.route(&segs, &cfg, &mut rng_from_seed(1), &mut comm))
+        })
+    });
+}
+
+fn bench_feedthrough_assign(h: &mut Harness) {
+    use pgr_circuit::NetId;
+    use pgr_mpi::{Comm, MachineModel};
+    use pgr_router::route::feedthrough::{assign, Crossing, FtPlan};
+
+    // 233k crossings of 25k nets over the 86 × 293 grid of
+    // `serial-avq.large`, and the plan their counts imply.
+    let mut rng = rng_from_seed(0xF7);
+    let crossings: Vec<Crossing> = (0..233_000)
+        .map(|_| Crossing {
+            net: NetId(rng.gen_range(0..25_000u32)),
+            row: rng.gen_range(0..86u32),
+            x: rng.gen_range(0..2344i64),
+        })
+        .collect();
+    let mut demand = vec![vec![0i64; 293]; 86];
+    for c in &crossings {
+        demand[c.row as usize][(c.x / 8) as usize] += 1;
+    }
+    let plan = FtPlan::new(0, demand, 8, 2);
+    h.bench("feedthrough/assign/avq-shaped", |b| {
+        let mut comm = Comm::solo(MachineModel::ideal());
+        b.iter(|| black_box(assign(&plan, &crossings, &mut comm)))
+    });
 }
 
 fn bench_unionfind(h: &mut Harness) {
@@ -278,6 +352,8 @@ fn main() {
     bench_profile(&mut h);
     bench_channel_state(&mut h);
     bench_coarse_eval(&mut h);
+    bench_coarse_route(&mut h);
+    bench_feedthrough_assign(&mut h);
     bench_unionfind(&mut h);
     bench_wire(&mut h);
     bench_channel_router(&mut h);

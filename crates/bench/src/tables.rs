@@ -357,7 +357,9 @@ pub fn table5(opts: &Opts) {
 /// serially, proving the chunked columnar store and the per-net sweep
 /// paths hold up past the MCNC sizes. Prints the chunk count so CI can
 /// gate that the chunked path (not a single degenerate chunk) was
-/// exercised.
+/// exercised, and the host seconds of every phase (the route runs under
+/// [`ClockMode::Wall`]) so the per-doubling growth of each phase comes
+/// from one command at several `--scale`s.
 pub fn big_circuit(opts: &Opts) {
     use pgr_circuit::{generate, GeneratorConfig, NET_CHUNK_SIZE};
 
@@ -393,15 +395,41 @@ pub fn big_circuit(opts: &Opts) {
         gen_secs
     );
     assert_eq!(chunks, c.num_nets().div_ceil(NET_CHUNK_SIZE));
-    let wall = std::time::Instant::now();
-    let base = serial_baseline(&c, &cfg(), MachineModel::sparc_center_1000());
+    // Route on a wall-clocked solo communicator so every phase's host
+    // seconds are measured next to the untouched virtual account.
+    let cfg = RouterConfig {
+        clock: ClockMode::Wall,
+        ..cfg()
+    };
+    let instr = InstrumentConfig {
+        clock: ClockMode::Wall,
+        ..InstrumentConfig::off()
+    };
+    let machine = MachineModel::sparc_center_1000();
+    let (report, _, _) = pgr_mpi::run_instrumented(1, machine, instr, |comm| {
+        pgr_router::route_serial(&c, &cfg, comm)
+    });
+    let (result, stats) = (&report.results[0], &report.stats[0]);
+    pgr_router::verify::assert_verified(&c, result);
+    let wall = stats
+        .wall
+        .as_ref()
+        .expect("wall seconds measured in Wall mode");
     println!(
-        "routed serially: tracks={} wirelength={} simulated {} (wall {:.1}s), verified",
-        base.result.track_count(),
-        base.result.wirelength,
-        fmt_secs(base.time),
-        wall.elapsed().as_secs_f64()
+        "routed serially: tracks={} wirelength={} feedthroughs={} simulated {} (wall {:.1}s), verified",
+        result.track_count(),
+        result.wirelength,
+        result.feedthroughs,
+        fmt_secs(stats.time),
+        wall.time
     );
+    let phases: Vec<String> = stats
+        .phases
+        .iter()
+        .zip(&wall.phases)
+        .map(|((name, _), secs)| format!("{name}={secs:.3}s"))
+        .collect();
+    println!("host seconds per phase: {}", phases.join(" "));
     println!();
 }
 

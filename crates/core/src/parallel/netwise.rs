@@ -265,13 +265,7 @@ impl Pipeline for NetWisePipeline {
                         // sequence — a rank that walks away deadlocks the
                         // world.
                         if !comm.budget_poll_shed() {
-                            changed += coarse.improve_slice(
-                                &self.segments,
-                                &mut orients,
-                                chunk,
-                                cfg,
-                                comm,
-                            ) as u64;
+                            changed += coarse.improve_slice(&mut orients, chunk, cfg, comm) as u64;
                         }
                         sync_coarse(&mut coarse, cfg.netwise_exact_sync, comm);
                     }

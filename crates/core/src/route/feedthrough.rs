@@ -144,40 +144,62 @@ impl FtPlan {
 /// row. Requests are matched left-to-right within each grid column, which
 /// is the order-optimal non-crossing matching.
 ///
-/// Returns one feedthrough [`Node`] per crossing, tagged with its net.
+/// Returns one feedthrough [`Node`] per crossing, tagged with its net, in
+/// `(row, gcol, x, net)` order. The crossings are counting-sorted into
+/// `(row, gcol)` buckets (each grid column computed once) and only the
+/// small buckets are sorted by `(x, net)`. Only non-empty buckets are
+/// checked against the plan: a rank may hold the crossings of some rows
+/// of a plan that has demand everywhere.
 ///
 /// # Panics
-/// Panics if the crossings are inconsistent with the plan's demand (a
-/// router bug — demand was derived from the same crossings).
+/// Panics if a non-empty bucket's crossing count differs from the plan's
+/// demand there (a router bug — demand was derived from the same
+/// crossings).
 pub fn assign(plan: &FtPlan, crossings: &[Crossing], comm: &mut Comm) -> Vec<(NetId, Node)> {
     comm.compute(cost::FT_ASSIGN * crossings.len() as u64);
-    // Sort requests by (row, gcol, x, net) — deterministic.
-    let mut sorted: Vec<&Crossing> = crossings.iter().collect();
-    sorted.sort_unstable_by_key(|c| (c.row, plan.gcol(c.x), c.x, c.net.0));
+    if crossings.is_empty() {
+        return Vec::new();
+    }
+    // `gcol` clamps to the last grid column.
+    let gcols = plan.gcol(i64::MAX) + 1;
+    let mut start = vec![0u32; plan.num_rows() * gcols + 1];
+    let buckets: Vec<u32> = crossings
+        .iter()
+        .map(|c| {
+            let b = plan.row_idx(c.row) * gcols + plan.gcol(c.x);
+            start[b + 1] += 1;
+            b as u32
+        })
+        .collect();
+    for b in 1..start.len() {
+        start[b] += start[b - 1];
+    }
+    let mut next = start.clone();
+    let mut keys = vec![(0i64, 0u32); crossings.len()];
+    for (c, &b) in crossings.iter().zip(&buckets) {
+        keys[next[b as usize] as usize] = (c.x, c.net.0);
+        next[b as usize] += 1;
+    }
 
-    let mut out = Vec::with_capacity(sorted.len());
-    let mut i = 0;
-    while i < sorted.len() {
-        let row = sorted[i].row;
-        let gcol = plan.gcol(sorted[i].x);
-        // Consume the run of crossings in this (row, gcol) bucket.
-        let mut j = i;
-        while j < sorted.len() && sorted[j].row == row && plan.gcol(sorted[j].x) == gcol {
-            j += 1;
+    let mut out = Vec::with_capacity(crossings.len());
+    for (b, w) in start.windows(2).enumerate() {
+        let bucket = &mut keys[w[0] as usize..w[1] as usize];
+        if bucket.is_empty() {
+            continue;
         }
-        let count = (j - i) as i64;
-        let avail = plan.demand[plan.row_idx(row)][gcol];
+        bucket.sort_unstable();
+        let (r, gcol) = (b / gcols, b % gcols);
+        let row = plan.row0 + r as u32;
+        let avail = plan.demand[r][gcol];
         assert_eq!(
-            count, avail,
+            bucket.len() as i64,
+            avail,
             "crossings at (row {row}, gcol {gcol}) must equal planned demand"
         );
-        for (k, c) in sorted[i..j].iter().enumerate() {
-            out.push((
-                c.net,
-                Node::feedthrough(plan.ft_x(row, gcol, k as i64), row),
-            ));
+        for (k, &(_, net)) in bucket.iter().enumerate() {
+            let x = plan.ft_x(row, gcol, k as i64);
+            out.push((NetId(net), Node::feedthrough(x, row)));
         }
-        i = j;
     }
     out
 }
@@ -193,6 +215,93 @@ mod tests {
 
     fn plan(demand: Vec<Vec<i64>>) -> FtPlan {
         FtPlan::new(0, demand, 8, 2)
+    }
+
+    /// The sort-based assignment the bucketed one replaced: one global
+    /// sort by `(row, gcol, x, net)`, then a run per bucket.
+    fn assign_by_sort(plan: &FtPlan, crossings: &[Crossing]) -> Vec<(NetId, Node)> {
+        let mut sorted: Vec<&Crossing> = crossings.iter().collect();
+        sorted.sort_unstable_by_key(|c| (c.row, plan.gcol(c.x), c.x, c.net.0));
+        let mut out = Vec::with_capacity(sorted.len());
+        let mut i = 0;
+        while i < sorted.len() {
+            let row = sorted[i].row;
+            let gcol = plan.gcol(sorted[i].x);
+            let mut j = i;
+            while j < sorted.len() && sorted[j].row == row && plan.gcol(sorted[j].x) == gcol {
+                j += 1;
+            }
+            let count = (j - i) as i64;
+            let avail = plan.demand[plan.row_idx(row)][gcol];
+            assert_eq!(
+                count, avail,
+                "crossings at (row {row}, gcol {gcol}) must equal planned demand"
+            );
+            for (k, c) in sorted[i..j].iter().enumerate() {
+                out.push((
+                    c.net,
+                    Node::feedthrough(plan.ft_x(row, gcol, k as i64), row),
+                ));
+            }
+            i = j;
+        }
+        out
+    }
+
+    #[test]
+    fn bucketed_assign_matches_sort_oracle() {
+        use pgr_geom::rng::rng_from_seed;
+        for seed in 0..300u64 {
+            let mut rng = rng_from_seed(seed);
+            let row0 = rng.gen_range(0..6u32);
+            let nrows = rng.gen_range(1..7usize);
+            let gcols = rng.gen_range(1..12usize);
+            let grid_w = 8;
+            // Crossings land on a subset of the plan's rows only; the
+            // other rows get demand without crossings (the net-wise and
+            // row-wise shape, where a rank holds some rows' crossings).
+            let owned: Vec<bool> = (0..nrows).map(|_| rng.gen_bool(0.6)).collect();
+            let crossings: Vec<Crossing> = (0..rng.gen_range(0..120usize))
+                .filter_map(|_| {
+                    let r = rng.gen_range(0..nrows);
+                    // Few distinct x and nets: many (x, net) ties; x
+                    // below 0 and past the last column clamp.
+                    let x = rng.gen_range(-3..(gcols as i64 * grid_w / 4 + 3)) * 4;
+                    let net = NetId(rng.gen_range(0..4u32));
+                    owned[r].then_some(Crossing {
+                        net,
+                        row: row0 + r as u32,
+                        x,
+                    })
+                })
+                .collect();
+            let mut demand = vec![vec![0i64; gcols]; nrows];
+            for (r, row) in demand.iter_mut().enumerate() {
+                if !owned[r] {
+                    row.iter_mut().for_each(|d| *d = rng.gen_range(0..3));
+                }
+            }
+            let p = FtPlan::new(row0, demand, grid_w, 2);
+            let mut demand = p.demand.clone();
+            for c in &crossings {
+                demand[(c.row - row0) as usize][p.gcol(c.x)] += 1;
+            }
+            let p = FtPlan::new(row0, demand, grid_w, 2);
+            let want = assign_by_sort(&p, &crossings);
+            assert_eq!(assign(&p, &crossings, &mut comm()), want, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must equal planned demand")]
+    fn too_few_crossings_panic() {
+        let p = FtPlan::new(2, vec![vec![0, 0], vec![0, 2]], 8, 2);
+        let crossings = vec![Crossing {
+            net: NetId(0),
+            row: 3,
+            x: 9,
+        }];
+        assign(&p, &crossings, &mut comm());
     }
 
     #[test]

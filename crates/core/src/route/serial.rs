@@ -19,13 +19,13 @@ use crate::route::steiner::{build_segments_with, whole_net};
 use crate::route::switchable::{optimize, ChannelState};
 use pgr_circuit::{Circuit, NetId};
 use pgr_mpi::Comm;
-use std::collections::HashMap;
 
 /// Vertical-crossing requests implied by the chosen L orientations.
 /// Uses [`Segment::demand_rows`], so fake-pin endpoints (partition
 /// boundaries) request the feedthrough the net's pass-through needs.
 pub fn crossings_of(segments: &[Segment], orients: &[Orientation]) -> Vec<Crossing> {
-    let mut out = Vec::new();
+    let n = segments.iter().map(|s| s.demand_rows().len()).sum();
+    let mut out = Vec::with_capacity(n);
     for (seg, &orient) in segments.iter().zip(orients) {
         let x = seg.vertical_x(orient);
         for row in seg.demand_rows() {
@@ -83,14 +83,33 @@ pub fn register_steiner_nodes(work: &mut WorkNet, segs: &[Segment]) {
     work.nodes.dedup();
 }
 
-/// Attach assigned feedthrough nodes to their nets' work records.
+/// Attach assigned feedthrough nodes to their nets' work records, in
+/// `ft_nodes` order. Each record's node vector is reserved to its final
+/// size before the pushes.
 pub fn attach_feedthroughs(works: &mut [WorkNet], ft_nodes: Vec<(NetId, Node)>) {
-    let index: HashMap<NetId, usize> = works.iter().enumerate().map(|(i, w)| (w.net, i)).collect();
-    for (net, node) in ft_nodes {
-        let &i = index
-            .get(&net)
-            .expect("feedthrough for a net this rank does not own");
-        works[i].nodes.push(node);
+    let slots = works.iter().map(|w| w.net.index() + 1).max().unwrap_or(0);
+    let mut index = vec![u32::MAX; slots];
+    for (i, w) in works.iter().enumerate() {
+        index[w.net.index()] = i as u32;
+    }
+    let mut extra = vec![0usize; works.len()];
+    let owners: Vec<u32> = ft_nodes
+        .iter()
+        .map(|(net, _)| {
+            let i = index
+                .get(net.index())
+                .copied()
+                .filter(|&i| i != u32::MAX)
+                .expect("feedthrough for a net this rank does not own");
+            extra[i as usize] += 1;
+            i
+        })
+        .collect();
+    for (w, n) in works.iter_mut().zip(extra) {
+        w.nodes.reserve(n);
+    }
+    for ((_, node), i) in ft_nodes.into_iter().zip(owners) {
+        works[i as usize].nodes.push(node);
     }
 }
 

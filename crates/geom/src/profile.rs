@@ -2,11 +2,13 @@
 //!
 //! A routing channel's *density* at column `x` is the number of horizontal
 //! wire spans covering `x`; the channel needs `max_x density(x)` tracks.
-//! The TimberWolf coarse router and the switchable-segment optimizer both
-//! evaluate "what does the peak density become if this span moves here?"
-//! millions of times, so the profile is a lazy range-add / range-max segment
-//! tree: span insertion, removal, and hypothetical-peak queries are all
-//! O(log W) in the channel width W.
+//! The switchable-segment optimizer (step 5) evaluates "what does the peak
+//! density become if this span moves here?" on full-resolution channels
+//! thousands of columns wide, so the profile is a lazy range-add /
+//! range-max segment tree: span insertion, removal, and hypothetical-peak
+//! queries are all O(log W) in the channel width W. (The coarse router's
+//! grid is a few hundred columns wide; there an O(span) scan over flat
+//! counts with a cached peak is faster, see `pgr-router`'s `route::coarse`.)
 
 /// A density profile over columns `0..width`.
 ///
